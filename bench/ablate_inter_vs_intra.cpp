@@ -3,11 +3,14 @@
 // evaluates the intra mode, we quantify both).
 //
 // Inter-sequence aligns one subject per lane (element-wise recurrences,
-// zero correction overhead, but a gather per cell for substitution
-// scores and padding waste on length-heterogeneous batches).
+// zero correction overhead; substitution scores come from a score
+// profile built once per subject column - by in-register permutes where
+// the ISA has them - so the inner loop does one aligned load per cell, no
+// gather; the cost is padding waste on length-heterogeneous batches).
 // Intra-sequence is the striped kernel (profile-row loads, but lazy-F /
 // scan correction work). Both run 32-bit lanes on the same ISA so the
-// comparison isolates the vectorization axis.
+// comparison isolates the vectorization axis; the served path's
+// int8 -> int16 -> int32 ladder is measured by bench_inter_precision.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -77,8 +80,8 @@ int main() {
   }
   std::printf(
       "reading: inter-sequence has input-independent cost (no corrections) "
-      "but pays a gather per cell; intra-sequence amortizes profile loads "
-      "but pays correction work that grows with similarity.\n");
+      "but pays padding on uneven batches; intra-sequence amortizes profile "
+      "loads but pays correction work that grows with similarity.\n");
   report.set_headline("inter_vs_intra_gcups", last_ratio);
   return report.write("BENCH_ablate_inter_vs_intra.json") ? 0 : 1;
 }

@@ -8,7 +8,10 @@
 // Prints per-thread-count wall clocks, speedup, and worker occupancy;
 // dumps a schema "aalign.run" v2 document to BENCH_many_query.json
 // (override the path with AALIGN_BENCH_JSON).
-// Headline: speedup_batched_vs_serial at the widest thread count.
+// Headline: speedup_batched_vs_serial at the widest thread count. The
+// workload is local alignment, so the batched leg runs the inter-sequence
+// ladder and the serial leg the striped kernels: the ratio measures the
+// scheduler and the kernel family together.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -148,6 +148,17 @@ struct KernelStats {
   // Deconstructed lazy-F accounting (LazyF::Fixup only):
   std::uint64_t lazyf_fixup_cols = 0;   // columns corrected via the scan fixup
   std::uint64_t lazyf_saved_iters = 0;  // est. legacy corrective steps avoided
+
+  KernelStats& operator+=(const KernelStats& o) {
+    columns += o.columns;
+    lazy_steps += o.lazy_steps;
+    iterate_columns += o.iterate_columns;
+    scan_columns += o.scan_columns;
+    switches += o.switches;
+    lazyf_fixup_cols += o.lazyf_fixup_cols;
+    lazyf_saved_iters += o.lazyf_saved_iters;
+    return *this;
+  }
 };
 
 struct KernelResult {

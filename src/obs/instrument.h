@@ -12,7 +12,8 @@
 //                                                fixup avoided
 //   kernel.iterate_columns / kernel.scan_columns  strategy column mix
 //   hybrid.switches                              mode changes (Sec. V-B)
-//   search.align_calls / search.promotions       adaptive-width retries
+//   search.align_calls / search.promotions       width retries / lane
+//                                                re-queues to a wider tier
 //   cache.profile.{hits,misses,evictions}        QueryProfileCache traffic
 //   pool.{steals,stolen_items,steal_scans}       work-stealing traffic
 //   batch.{runs,tiles,dedup_queries}             scheduler shape

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <unordered_map>
 
 #include "obs/instrument.h"
@@ -149,6 +150,20 @@ BatchScheduler::BatchScheduler(const score::ScoreMatrix& matrix,
       opt_(opt),
       cache_(opt.profile_cache_capacity) {
   cfg_.validate();
+  if (cfg_.kind != AlignKind::Local) return;
+  // A pinned width runs its single tier: no promotion, saturated lanes
+  // keep the rail score, as the striped kernels do at a pinned width.
+  switch (opt_.query.width) {
+    case ScoreWidth::W8: first_ = last_ = core::InterPrecision::I8; break;
+    case ScoreWidth::W16: first_ = last_ = core::InterPrecision::I16; break;
+    case ScoreWidth::W32: first_ = last_ = core::InterPrecision::I32; break;
+    case ScoreWidth::Auto: break;
+  }
+  const core::InterEngine* engine = core::get_inter_engine(opt_.query.isa);
+  if (engine != nullptr && engine->lanes(last_) > 0) {
+    inter_ = engine;
+    flat_matrix_ = inter_flat_matrix(matrix_);
+  }
 }
 
 std::vector<SearchResult> BatchScheduler::run(
@@ -194,13 +209,16 @@ std::vector<SearchResult> BatchScheduler::run(
   }
   const std::size_t ng = group_primary.size();
 
-  // Stage one, per distinct query: signature screening over the sorted
-  // database (docs/search.md). Masks live in CURRENT database positions;
-  // dropped subjects are skipped in the tile loop and carry
-  // filter::kDroppedScore sentinels, trimmed after top-k selection.
+  // Each group's work list: the subject positions (current, sorted
+  // database order, ascending) it scans - every position, or with the
+  // filter (docs/search.md) only the group's survivors. Tiles are cut from
+  // these lists, so filtered lane batches stay full and length-homogeneous;
+  // dropped subjects keep their filter::kDroppedScore sentinel, trimmed
+  // after top-k selection.
   const bool filtered =
       filter::filter_active(opt_.filter.mode, cfg_.kind == AlignKind::Local);
-  std::vector<std::vector<std::uint8_t>> alive;
+  std::vector<std::size_t> all_positions;
+  std::vector<std::vector<std::size_t>> survivors;
   std::vector<filter::FilterStats> fstats;
   if (filtered) {
     const filter::SignatureIndex* idx = opt_.filter.index.get();
@@ -216,53 +234,71 @@ std::vector<SearchResult> BatchScheduler::run(
       // Prebuilt (store-served or caller-supplied) index: no rebuild.
       obs::registry().counter("filter.index_reuses").add(1);
     }
-    alive.resize(ng);
+    survivors.resize(ng);
     fstats.resize(ng);
     obs::ScopedTimer filter_timer(
         obs::registry().timer("phase.filter_scan"));
+    std::vector<std::uint8_t> alive;
     for (std::size_t gi = 0; gi < ng; ++gi) {
       fstats[gi] = idx->scan(queries[group_primary[gi]], opt_.query.isa,
-                             alive[gi], opt_.filter.threshold);
+                             alive, opt_.filter.threshold);
       obs::record_filter_stats(fstats[gi]);
+      survivors[gi].reserve(fstats[gi].survivors);
+      for (std::size_t s = 0; s < ns; ++s) {
+        if (alive[s] != 0) survivors[gi].push_back(s);
+      }
     }
+  } else {
+    all_positions.resize(ns);
+    std::iota(all_positions.begin(), all_positions.end(), std::size_t{0});
   }
+  const auto work_of = [&](std::size_t gi) -> const std::vector<std::size_t>& {
+    return filtered ? survivors[gi] : all_positions;
+  };
 
   // Resolve the tile grid. Auto shard size targets ~8 tiles per worker per
   // query so stealing has granularity to work with, without shrinking
-  // tiles into scheduling noise.
+  // tiles into scheduling noise; ladder tiles round to full lane batches.
   std::size_t shard = opt_.shard_size;
   if (shard == 0) {
-    shard = ns / (static_cast<std::size_t>(threads) * 8);
-    shard = std::clamp<std::size_t>(shard, 16, 256);
+    std::size_t work = 0;
+    for (std::size_t gi = 0; gi < ng; ++gi) work += work_of(gi).size();
+    work /= std::max<std::size_t>(1, ng);
+    if (inter_ != nullptr) {
+      shard = inter_auto_shard(work, threads, *inter_, first_);
+    } else {
+      shard = std::clamp<std::size_t>(
+          work / (static_cast<std::size_t>(threads) * 8), 16, 256);
+    }
   }
   shard = std::max<std::size_t>(1, std::min(shard, std::max<std::size_t>(1, ns)));
 
   struct Tile {
     std::size_t group;
     std::size_t begin;
-    std::size_t end;  // subject positions in the (sorted) database
+    std::size_t end;  // range of the group's work list
   };
   std::vector<Tile> tiles;
-  if (ns > 0) {
-    tiles.reserve(ng * ((ns + shard - 1) / shard));
-    for (std::size_t gi = 0; gi < ng; ++gi) {
-      for (std::size_t b = 0; b < ns; b += shard) {
-        tiles.push_back(Tile{gi, b, std::min(ns, b + shard)});
-      }
+  for (std::size_t gi = 0; gi < ng; ++gi) {
+    const std::size_t n = work_of(gi).size();
+    for (std::size_t b = 0; b < n; b += shard) {
+      tiles.push_back(Tile{gi, b, std::min(n, b + shard)});
     }
   }
 
-  // Per-worker accumulation: one workspace for the whole batch, one
-  // (stats, promotions) slot per query group, one busy-time integral.
-  // Merged single-threaded after the pool drains - no locks on the hot
-  // path.
+  // Per-worker accumulation: one kernel scratch for the whole batch (the
+  // unused one never allocates), one (stats, promotions) slot per query
+  // group, ladder tier counts, one busy-time integral. Merged
+  // single-threaded after the pool drains - no locks on the hot path.
   struct QueryAcc {
     KernelStats stats;
     std::uint64_t promotions = 0;
   };
   struct WorkerState {
     core::WorkspaceSet ws;
+    LadderScratch ladder;
     std::vector<QueryAcc> acc;
+    InterTiers tiers{};
     double busy_seconds = 0.0;
   };
   std::vector<WorkerState> workers(
@@ -271,7 +307,7 @@ std::vector<SearchResult> BatchScheduler::run(
 
   // Scores in sorted-database order; remapped per group afterwards.
   std::vector<std::vector<long>> scores(ng);
-  for (auto& s : scores) s.assign(ns, 0);
+  for (auto& s : scores) s.assign(ns, filtered ? filter::kDroppedScore : 0);
 
   obs::Histogram& tile_us = obs::registry().histogram("batch.tile_us");
   PoolStats pool_stats;
@@ -286,25 +322,23 @@ std::vector<SearchResult> BatchScheduler::run(
         const core::QueryContext& ctx = *ctxs[group_primary[tile.group]];
         QueryAcc& acc = w.acc[tile.group];
         long* out = scores[tile.group].data();
-        const std::uint8_t* mask =
-            filtered ? alive[tile.group].data() : nullptr;
-        for (std::size_t s = tile.begin; s < tile.end; ++s) {
-          if (mask != nullptr && mask[s] == 0) {
-            out[s] = filter::kDroppedScore;
-            continue;
+        const std::size_t* pos = work_of(tile.group).data();
+        if (inter_ != nullptr) {
+          w.ladder.pending.assign(pos + tile.begin, pos + tile.end);
+          const LadderInput in{*inter_, flat_matrix_, matrix_.size(),
+                               ctx.query(), cfg_.pen, db};
+          acc.promotions += run_ladder_local(in, first_, last_, w.ladder, out,
+                                             w.tiers, cancel);
+        } else {
+          for (std::size_t i = tile.begin; i < tile.end; ++i) {
+            const std::size_t s = pos[i];
+            const core::AdaptiveResult ar =
+                ctx.align(db[s].view(), w.ws, /*track_end=*/false, cancel);
+            if (ar.cancelled) core::throw_cancelled(*cancel);
+            out[s] = ar.kernel.score;
+            acc.promotions += static_cast<std::uint64_t>(ar.promotions);
+            acc.stats += ar.kernel.stats;
           }
-          const core::AdaptiveResult ar =
-              ctx.align(db[s].view(), w.ws, /*track_end=*/false, cancel);
-          if (ar.cancelled) core::throw_cancelled(*cancel);
-          out[s] = ar.kernel.score;
-          acc.promotions += static_cast<std::uint64_t>(ar.promotions);
-          acc.stats.columns += ar.kernel.stats.columns;
-          acc.stats.lazy_steps += ar.kernel.stats.lazy_steps;
-          acc.stats.lazyf_fixup_cols += ar.kernel.stats.lazyf_fixup_cols;
-          acc.stats.lazyf_saved_iters += ar.kernel.stats.lazyf_saved_iters;
-          acc.stats.iterate_columns += ar.kernel.stats.iterate_columns;
-          acc.stats.scan_columns += ar.kernel.stats.scan_columns;
-          acc.stats.switches += ar.kernel.stats.switches;
         }
         const double tile_seconds = tile_timer.seconds();
         w.busy_seconds += tile_seconds;
@@ -325,8 +359,7 @@ std::vector<SearchResult> BatchScheduler::run(
     std::size_t scanned_residues = db.total_residues();
     if (filtered) {
       scanned_residues = 0;
-      for (std::size_t s = 0; s < ns; ++s)
-        if (alive[gi][s] != 0) scanned_residues += db[s].size();
+      for (std::size_t s : survivors[gi]) scanned_residues += db[s].size();
       res.filtered = true;
       res.filter_stats = fstats[gi];
     }
@@ -334,15 +367,8 @@ std::vector<SearchResult> BatchScheduler::run(
     computed_cells += res.cells;
     res.gcups = util::gcups_cells(res.cells, wall_seconds);
     for (const WorkerState& w : workers) {
-      const QueryAcc& acc = w.acc[gi];
-      res.promotions += acc.promotions;
-      res.stats.columns += acc.stats.columns;
-      res.stats.lazy_steps += acc.stats.lazy_steps;
-      res.stats.lazyf_fixup_cols += acc.stats.lazyf_fixup_cols;
-      res.stats.lazyf_saved_iters += acc.stats.lazyf_saved_iters;
-      res.stats.iterate_columns += acc.stats.iterate_columns;
-      res.stats.scan_columns += acc.stats.scan_columns;
-      res.stats.switches += acc.stats.switches;
+      res.promotions += w.acc[gi].promotions;
+      res.stats += w.acc[gi].stats;
     }
     obs::record_kernel_stats(res.stats);
     obs::registry().counter("search.promotions").add(res.promotions);
@@ -368,7 +394,10 @@ std::vector<SearchResult> BatchScheduler::run(
   stats_.cache_evictions = cache_.evictions() - evict0;
   stats_.pool = pool_stats;
   stats_.wall_seconds = wall_seconds;
-  for (const WorkerState& w : workers) stats_.busy_seconds += w.busy_seconds;
+  for (const WorkerState& w : workers) {
+    stats_.busy_seconds += w.busy_seconds;
+    add_tier_counts(stats_.tiers, w.tiers);
+  }
   stats_.occupancy =
       wall_seconds > 0.0
           ? stats_.busy_seconds / (static_cast<double>(threads) * wall_seconds)
@@ -377,6 +406,9 @@ std::vector<SearchResult> BatchScheduler::run(
   stats_.cells = computed_cells;
   stats_.gcups = util::gcups_cells(computed_cells, wall_seconds);
   obs::record_batch_stats(stats_);
+  for (int ti = 0; ti < core::kInterPrecisionCount; ++ti) {
+    obs::record_inter_tier(ti, stats_.tiers[static_cast<std::size_t>(ti)]);
+  }
   std::uint64_t align_calls = static_cast<std::uint64_t>(ng) * ns;
   if (filtered) {
     align_calls = 0;

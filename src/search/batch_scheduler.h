@@ -12,14 +12,22 @@
 //     profiles for every width, engine pointers) lives in an LRU keyed by
 //     (query bytes, config) - repeated queries in a batch skip profile
 //     construction entirely;
-//   * per-tile KernelStats / promotion counters accumulate into per-worker
+//   * per-tile stats / promotion counters accumulate into per-worker
 //     slots and are merged lock-free after the pool drains;
-//   * every worker keeps one WorkspaceSet for the whole batch instead of
+//   * every worker keeps one kernel scratch for the whole batch instead of
 //     one per (query, worker).
 //
+// Kernel choice is a fixed rule, not an option: a LOCAL alignment whose
+// ISA has an inter-sequence engine runs every tile on the inter-sequence
+// precision ladder (search/inter_ladder.h: one subject per vector lane,
+// int8 -> int16 -> int32 on saturation; a pinned query width runs that
+// single tier). Global and semi-global alignments run the striped
+// QueryContext::align loop. Both give the oracle's exact scores.
+//
 // Determinism: a subject's score depends only on (query, subject, config),
-// never on tile shape or scheduling, so batched results are bit-identical
-// to the serial loop for every thread count and shard size (tested).
+// never on tile shape, lane batch or scheduling, so batched results are
+// bit-identical to the serial loop for every thread count and shard size
+// (tested).
 #pragma once
 
 #include <cstdint>
@@ -29,10 +37,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/inter_engine.h"
 #include "core/query_context.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 #include "search/database_search.h"
+#include "search/inter_ladder.h"
 #include "search/thread_pool.h"
 #include "seq/database.h"
 
@@ -100,8 +110,14 @@ struct BatchStats {
   double wall_seconds = 0.0;
   double busy_seconds = 0.0;  // summed per-worker in-tile time
   double occupancy = 0.0;     // busy / (threads * wall), 1.0 = no idling
-  std::size_t cells = 0;      // DP cells actually computed (after dedup)
+  std::size_t cells = 0;      // query x scanned residues (after dedup
+                              // and filter); re-runs are in tiers[]
   double gcups = 0.0;         // batch aggregate throughput
+  // Ladder tiers of inter tiles, indexed by core::InterPrecision: subjects,
+  // batches, overflowed lanes and DP cells actually computed (padding and
+  // re-runs included). Tier seconds/gcups are not timed here. All zero
+  // when the batch ran striped.
+  InterTiers tiers{};
 };
 
 class BatchScheduler {
@@ -126,6 +142,11 @@ class BatchScheduler {
   // keep nothing visible (no partial results escape), the pool joins
   // fully, and the scheduler (including its profile cache) stays usable
   // for the next run().
+  //
+  // Per-result accounting: `promotions` counts adaptive-width retries
+  // (striped) or lanes re-queued to a wider ladder tier (inter). `stats`
+  // (KernelStats: columns, lazy-F, hybrid strategy mix) describes the
+  // striped kernels only and stays zero for a batch run on inter tiles.
   std::vector<SearchResult> run(
       const std::vector<std::vector<std::uint8_t>>& queries,
       seq::Database& db, const core::CancelToken* cancel = nullptr);
@@ -149,6 +170,12 @@ class BatchScheduler {
   SearchOptions opt_;
   QueryProfileCache cache_;
   BatchStats stats_;
+  // Inter-sequence engine the local tiles run on (nullptr = striped) and
+  // the ladder tiers [first_, last_] they climb.
+  const core::InterEngine* inter_ = nullptr;
+  core::InterPrecision first_ = core::InterPrecision::I8;
+  core::InterPrecision last_ = core::InterPrecision::I32;
+  std::vector<std::int32_t> flat_matrix_;
   // Lazily built signature index for the last database run() saw; reused
   // across runs until the database fingerprint changes. A prebuilt
   // opt_.filter.index takes precedence.

@@ -75,13 +75,7 @@ SearchResult DatabaseSearch::search(std::span<const std::uint8_t> query,
       if (ar.cancelled) core::throw_cancelled(*cancel);
       scores[i] = ar.kernel.score;
       w.promotions += static_cast<std::uint64_t>(ar.promotions);
-      w.stats.columns += ar.kernel.stats.columns;
-      w.stats.lazy_steps += ar.kernel.stats.lazy_steps;
-      w.stats.lazyf_fixup_cols += ar.kernel.stats.lazyf_fixup_cols;
-      w.stats.lazyf_saved_iters += ar.kernel.stats.lazyf_saved_iters;
-      w.stats.iterate_columns += ar.kernel.stats.iterate_columns;
-      w.stats.scan_columns += ar.kernel.stats.scan_columns;
-      w.stats.switches += ar.kernel.stats.switches;
+      w.stats += ar.kernel.stats;
     }, cancel);
   }
 
@@ -101,13 +95,7 @@ SearchResult DatabaseSearch::search(std::span<const std::uint8_t> query,
   res.filter_stats = fstats;
   for (const WorkerState& w : workers) {
     res.promotions += w.promotions;
-    res.stats.columns += w.stats.columns;
-    res.stats.lazy_steps += w.stats.lazy_steps;
-    res.stats.lazyf_fixup_cols += w.stats.lazyf_fixup_cols;
-    res.stats.lazyf_saved_iters += w.stats.lazyf_saved_iters;
-    res.stats.iterate_columns += w.stats.iterate_columns;
-    res.stats.scan_columns += w.stats.scan_columns;
-    res.stats.switches += w.stats.switches;
+    res.stats += w.stats;
   }
   obs::record_kernel_stats(res.stats);
   obs::registry()

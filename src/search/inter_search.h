@@ -13,30 +13,19 @@
 // results are bit-identical to an int32-only run for every database.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
 
 #include "core/inter_engine.h"
 #include "search/database_search.h"
+#include "search/inter_ladder.h"
 
 namespace aalign::search {
 
-// Per-tier accounting of one tiered search.
-struct InterTierStats {
-  int lanes = 0;                // vector width of this tier (0 = not run)
-  std::size_t subjects = 0;     // subjects attempted at this tier
-  std::size_t batches = 0;      // batches dispatched
-  std::size_t overflowed = 0;   // lanes re-queued to the next tier
-  std::size_t cells = 0;        // DP cells actually computed here
-  double seconds = 0.0;
-  double gcups = 0.0;
-};
-
 struct InterSearchResult : SearchResult {
   // Indexed by core::InterPrecision (I8, I16, I32).
-  std::array<InterTierStats, core::kInterPrecisionCount> tiers{};
+  InterTiers tiers{};
 };
 
 class InterSequenceSearch {

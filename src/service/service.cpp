@@ -158,8 +158,8 @@ WireResponse AlignService::execute(WireRequest req) {
 void AlignService::executor_loop(int executor_id) {
   // Per-executor schedulers so concurrent executors never share mutable
   // scheduler state; each keeps its profile LRU warm across requests.
-  // The degraded path pins the int8 saturating kernels (several times
-  // cheaper than the adaptive ladder; scores may clip at the 8-bit rail).
+  // The degraded path pins the int8 tier: saturated lanes keep the 8-bit
+  // rail instead of being re-run wider (scores may clip, never exceed).
   search::SearchOptions exact_opt = opt_.search;
   search::SearchOptions degraded_opt = exact_opt;
   degraded_opt.query.width = ScoreWidth::W8;
