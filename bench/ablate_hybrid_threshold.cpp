@@ -82,8 +82,7 @@ int main() {
       const core::QueryContext probe_ctx(
           matrix, cfg,
           core::QueryOptions{Strategy::StripedIterate, plat.isa,
-                             ScoreWidth::W32,
-                             {}},
+                             ScoreWidth::W32, {}, {}},
           query);
       const int lanes =
           core::get_engine<std::int32_t>(plat.isa)->lanes();

@@ -44,7 +44,10 @@ int main() {
   std::vector<seq::Sequence> queries;
   seq::Database db;
   for (std::size_t qi = 0; qi < kQueries; ++qi) {
-    queries.push_back(gen.protein(query_len, "Q" + std::to_string(qi)));
+    // append(), not "Q" + to_string(qi): GCC 12 flags the inlined
+    // operator+(const char*, string&&) with a bogus -Wrestrict (PR105651).
+    queries.push_back(
+        gen.protein(query_len, std::string("Q").append(std::to_string(qi))));
   }
   const seq::SimilaritySpec specs[kHomologsPerQuery] = {
       {seq::Level::Hi, seq::Level::Hi}, {seq::Level::Hi, seq::Level::Md},

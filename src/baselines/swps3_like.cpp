@@ -42,8 +42,10 @@ search::SearchResult Swps3Like::search(std::span<const std::uint8_t> query,
   // Two contexts: the 8-bit fast path and the 16-bit overflow path. The
   // adaptive chain in QueryContext would add a 32-bit tier SWPS3 does not
   // have, so the promotion is done here explicitly.
-  core::QueryOptions q8{Strategy::StripedIterate, isa_, ScoreWidth::W8, {}};
-  core::QueryOptions q16{Strategy::StripedIterate, isa_, ScoreWidth::W16, {}};
+  core::QueryOptions q8{Strategy::StripedIterate, isa_, ScoreWidth::W8, {},
+                        {}};
+  core::QueryOptions q16{Strategy::StripedIterate, isa_, ScoreWidth::W16, {},
+                         {}};
   const core::QueryContext ctx8(matrix_, cfg, q8, query);
   const core::QueryContext ctx16(matrix_, cfg, q16, query);
 
@@ -57,16 +59,16 @@ search::SearchResult Swps3Like::search(std::span<const std::uint8_t> query,
   std::vector<long> scores(db.size());
 
   util::Stopwatch timer;
-  search::parallel_for_dynamic(db.size(), threads, [&](int id,
-                                                       std::size_t i) {
-    WorkerState& w = workers[static_cast<std::size_t>(id)];
-    core::AdaptiveResult r = ctx8.align(db[i].view(), w.ws);
-    if (r.kernel.saturated) {
-      r = ctx16.align(db[i].view(), w.ws);
-      ++w.promotions;
-    }
-    scores[i] = r.kernel.score;
-  });
+  search::parallel_for_work_stealing(
+      db.size(), threads, [&](int id, std::size_t i) {
+        WorkerState& w = workers[static_cast<std::size_t>(id)];
+        core::AdaptiveResult r = ctx8.align(db[i].view(), w.ws);
+        if (r.kernel.saturated) {
+          r = ctx16.align(db[i].view(), w.ws);
+          ++w.promotions;
+        }
+        scores[i] = r.kernel.score;
+      });
 
   search::SearchResult res;
   res.seconds = timer.seconds();

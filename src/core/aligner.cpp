@@ -21,7 +21,8 @@ std::size_t PairAligner::query_length() const {
 }
 
 void PairAligner::set_query(std::span<const std::uint8_t> query) {
-  const core::QueryOptions qopt{opt_.strategy, isa_, opt_.width, opt_.hybrid};
+  const core::QueryOptions qopt{opt_.strategy, isa_, opt_.width, opt_.hybrid,
+                                {}};
   ctx_.emplace(matrix_, cfg_, qopt, query);
 }
 

@@ -330,10 +330,6 @@ class ColumnEngine {
     }
   }
 
-  // Current running best (local); used by end-tracking drivers to detect
-  // the column where the final optimum first appears.
-  long running_best() const { return static_cast<long>(M::hmax(v_max_)); }
-
   // Conservative saturation check for narrow score types: flags both the
   // high rail (score near +max) and, for gapped boundaries, the low rail.
   bool saturated(long score, long n) const {

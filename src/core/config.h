@@ -165,16 +165,13 @@ struct KernelResult {
   long score = 0;
   bool saturated = false;  // narrow type overflowed; caller should promote
   bool cancelled = false;  // run stopped by a CancelToken; score is invalid
-  // With end-tracking enabled (local alignment): the first subject column
-  // (1-based) where the final best score is reached; -1 otherwise.
-  long subject_end = -1;
   KernelStats stats;
 };
 
 // True when Farrar's lazy-F shortcut (E not refreshed from corrected H) is
 // exact: no optimal alignment can require an insertion adjacent to a
-// deletion. Holds for all standard matrices with typical gap costs; test
-// and adaptive paths check it. (Identical caveat to SSW/parasail.)
+// deletion. Holds for all standard matrices with typical gap costs; the
+// tests check it for their penalty sets. (Identical caveat to SSW/parasail.)
 bool farrar_safe(const score::ScoreMatrix& m, const Penalties& p);
 
 // Smallest score width whose range is guaranteed to hold every

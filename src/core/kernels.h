@@ -89,47 +89,6 @@ KernelResult run_striped_scan(
   return res;
 }
 
-// End-tracking variant (local alignment): per column, checks whether the
-// running best improved and records the first column reaching the final
-// optimum. One horizontal max per column (~kWidth scalar ops) on top of
-// the plain iterate driver - the SSW-style first pass of the traceback
-// pipeline (core/local_path.h).
-template <class Ops, AlignKind K, bool Affine>
-KernelResult run_striped_iterate_tracked(
-    const score::StripedProfile<typename Ops::value_type>& prof,
-    std::span<const std::uint8_t> subject,
-    Steps<typename Ops::value_type> st,
-    Workspace<typename Ops::value_type>& ws, LazyF lazyf = LazyF::Fixup,
-    const CancelToken* cancel = nullptr) {
-  ColumnEngine<Ops, K, Affine> eng(prof, st, ws, lazyf);
-  KernelResult res;
-  const long n = static_cast<long>(subject.size());
-  long best = 0;
-  for (long i = 1; i <= n; ++i) {
-    if (cancel != nullptr && (i - 1) % kCancelStrideColumns == 0 &&
-        cancel->stop_requested()) {
-      res.cancelled = true;
-      res.subject_end = -1;
-      return res;
-    }
-    res.stats.lazy_steps += eng.run_iterate_block(i, subject.data(), 1);
-    if constexpr (K == AlignKind::Local) {
-      const long cur = eng.running_best();
-      if (cur > best) {
-        best = cur;
-        res.subject_end = i;
-      }
-    }
-  }
-  res.stats.columns = n;
-  res.stats.iterate_columns = n;
-  harvest_lazyf_stats(eng, res);
-  res.score = eng.finalize();
-  res.saturated = eng.saturated(res.score, n);
-  if constexpr (K != AlignKind::Local) res.subject_end = n;
-  return res;
-}
-
 // Hybrid (Sec. V-B): start in striped-iterate; after each `window`-column
 // block, compare the lazy-F re-computation counter (normalized to full
 // column passes) against the threshold. Above it, run striped-scan for

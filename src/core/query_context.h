@@ -49,19 +49,19 @@ struct AdaptiveResult {
 class QueryContext {
  public:
   // Throws std::invalid_argument when the ISA is unavailable or provides
-  // no usable width.
+  // no usable width, or when opt.strategy is Sequential (no striped
+  // kernel; core/sequential is the scalar path).
   QueryContext(const score::ScoreMatrix& matrix, const AlignConfig& cfg,
                const QueryOptions& opt,
                std::span<const std::uint8_t> query);
 
   // Runs the kernel at the narrowest viable width, promoting on
   // saturation. Thread-safe given a per-thread WorkspaceSet.
-  // track_end records KernelResult::subject_end (see core/local_path.h).
   // An empty subject is legal and scored exactly (boundary conditions).
   // A fired `cancel` token returns AdaptiveResult::cancelled within one
   // kernel stride-chunk; the result carries no valid score.
   AdaptiveResult align(std::span<const std::uint8_t> subject,
-                       WorkspaceSet& ws, bool track_end = false,
+                       WorkspaceSet& ws,
                        const CancelToken* cancel = nullptr) const;
 
   const AlignConfig& config() const { return cfg_; }
@@ -75,8 +75,7 @@ class QueryContext {
  private:
   template <class T>
   KernelResult run_width(std::span<const std::uint8_t> subject,
-                         WorkspaceSet& ws, bool track_end,
-                         const CancelToken* cancel) const;
+                         WorkspaceSet& ws, const CancelToken* cancel) const;
 
   const score::ScoreMatrix& matrix_;
   AlignConfig cfg_;

@@ -3,8 +3,7 @@
 // SWAPHI); a usable library needs the path, and the QC/MI measurement that
 // validates the Fig. 10 pair generator is computed from it.
 //
-// Memory is O(m*n) direction bytes; guarded by `max_cells`. For long
-// global alignments use hirschberg.h (O(m+n) space).
+// Memory is O(m*n) direction bytes; guarded by `max_cells`.
 #pragma once
 
 #include <cstdint>

@@ -64,19 +64,18 @@ SearchResult DatabaseSearch::search(std::span<const std::uint8_t> query,
   util::Stopwatch timer;
   {
     obs::ScopedTimer scan_timer(obs::registry().timer("phase.search_scan"));
-    parallel_for_dynamic(db.size(), threads, [&](int id, std::size_t i) {
+    parallel_for_work_stealing(db.size(), threads, [&](int id, std::size_t i) {
       if (filtered && alive[i] == 0) {
         scores[i] = filter::kDroppedScore;
         return;
       }
       WorkerState& w = workers[static_cast<std::size_t>(id)];
-      const core::AdaptiveResult ar =
-          ctx.align(db[i].view(), w.ws, /*track_end=*/false, cancel);
+      const core::AdaptiveResult ar = ctx.align(db[i].view(), w.ws, cancel);
       if (ar.cancelled) core::throw_cancelled(*cancel);
       scores[i] = ar.kernel.score;
       w.promotions += static_cast<std::uint64_t>(ar.promotions);
       w.stats += ar.kernel.stats;
-    }, cancel);
+    }, nullptr, cancel);
   }
 
   SearchResult res;
@@ -118,32 +117,8 @@ SearchResult DatabaseSearch::search(std::span<const std::uint8_t> query,
 std::vector<SearchResult> DatabaseSearch::search_many(
     const std::vector<std::vector<std::uint8_t>>& queries,
     seq::Database& db, const core::CancelToken* cancel) const {
-  if (opt_.batch_queries) {
-    // One task grid for the whole workload: (query, subject-shard) tiles
-    // over a single work-stealing pool, profiles LRU-cached.
-    BatchScheduler scheduler(matrix_, cfg_, opt_);
-    return scheduler.run(queries, db, cancel);
-  }
-
-  // Historical serial loop: each query fans out across all workers, then
-  // the pool drains before the next query starts. Kept as the oracle the
-  // batched mode is verified against (results are bit-identical).
-  if (opt_.sort_database) db.sort_by_length_desc();
-  std::vector<SearchResult> out;
-  out.reserve(queries.size());
-  SearchOptions per_query = opt_;
-  per_query.sort_database = false;  // sorted once above
-  if (filter::filter_active(per_query.filter.mode,
-                            cfg_.kind == AlignKind::Local) &&
-      (per_query.filter.index == nullptr ||
-       !per_query.filter.index->matches(db))) {
-    // Index once for the whole batch, not once per query.
-    per_query.filter.index =
-        std::make_shared<filter::SignatureIndex>(db, per_query.filter.params);
-  }
-  DatabaseSearch inner(matrix_, cfg_, per_query);
-  for (const auto& q : queries) out.push_back(inner.search(q, db, cancel));
-  return out;
+  BatchScheduler scheduler(matrix_, cfg_, opt_);
+  return scheduler.run(queries, db, cancel);
 }
 
 }  // namespace aalign::search

@@ -22,11 +22,9 @@ struct SearchOptions {
   bool keep_all_scores = true;  // retain the per-subject score vector
   bool sort_database = true;    // length-sort for load balance
 
-  // search_many scheduling (see search/batch_scheduler.h). With
-  // batch_queries the whole workload is flattened into (query,
-  // subject-shard) tiles over one work-stealing pool; results are
-  // bit-identical to the serial per-query loop either way.
-  bool batch_queries = true;
+  // search_many scheduling (see search/batch_scheduler.h): the whole
+  // workload is flattened into (query, subject-shard) tiles over one
+  // work-stealing pool.
   std::size_t shard_size = 0;             // subjects per tile; 0 = auto
   std::size_t profile_cache_capacity = 64;  // distinct cached QueryContexts
 
@@ -73,13 +71,11 @@ class DatabaseSearch {
   SearchResult search(std::span<const std::uint8_t> query, seq::Database& db,
                       const core::CancelToken* cancel = nullptr) const;
 
-  // Many-vs-all: runs each query against the database. Results are
-  // returned in query order and are bit-identical regardless of the
-  // scheduling mode: with opt.batch_queries (default) the workload is
-  // flattened into (query, subject-shard) tiles over one work-stealing
-  // pool (BatchScheduler); otherwise each query runs as a full search()
-  // in sequence (the historical serial loop). In batched mode the
-  // per-result `seconds` is the whole batch's wall clock.
+  // Many-vs-all: runs each query against the database as one
+  // BatchScheduler batch of (query, subject-shard) tiles over one
+  // work-stealing pool. Results are returned in query order, bit-identical
+  // to calling search() once per query; the per-result `seconds` is the
+  // whole batch's wall clock.
   std::vector<SearchResult> search_many(
       const std::vector<std::vector<std::uint8_t>>& queries,
       seq::Database& db, const core::CancelToken* cancel = nullptr) const;

@@ -101,13 +101,13 @@ InterSearchResult InterSequenceSearch::search(
         (pending.size() + static_cast<std::size_t>(W) - 1) /
         static_cast<std::size_t>(W);
     util::Stopwatch timer;
-    parallel_for_dynamic(batches, threads, [&](int id, std::size_t b) {
+    parallel_for_work_stealing(batches, threads, [&](int id, std::size_t b) {
       LadderScratch& w = workers[static_cast<std::size_t>(id)];
       const std::size_t begin = b * static_cast<std::size_t>(W);
       const std::size_t count =
           std::min<std::size_t>(W, pending.size() - begin);
       run_one_batch(in, prec, W, pending, begin, count, w, scores.data());
-    }, cancel);
+    }, nullptr, cancel);
 
     InterTierStats& tier = res.tiers[static_cast<std::size_t>(ti)];
     tier.lanes = W;

@@ -161,10 +161,4 @@ void parallel_for_work_stealing(
   }
 }
 
-void parallel_for_dynamic(std::size_t count, int threads,
-                          const std::function<void(int, std::size_t)>& fn,
-                          const core::CancelToken* cancel) {
-  parallel_for_work_stealing(count, threads, fn, nullptr, cancel);
-}
-
 }  // namespace aalign::search

@@ -7,13 +7,13 @@
 // pool scalable when many heterogeneous tile streams (multi-query batches)
 // are in flight at once, and no worker idles while any deque has items.
 //
-// parallel_for_dynamic - the paper's Sec. V-E "dynamic binding" entry
-// point - is kept as a shim over the work-stealing run.
+// This is the paper's Sec. V-E "dynamic binding": items go to whichever
+// worker is free, not to a fixed thread.
 //
-// Cancellation: both entry points accept an optional core::CancelToken.
-// Workers poll it once per item; when it fires, every worker stops picking
-// up work, the spawned threads join (the pool is immediately reusable),
-// and - if any item was left unexecuted - the call throws
+// Cancellation: the pool accepts an optional core::CancelToken. Workers
+// poll it once per item; when it fires, every worker stops picking up
+// work, the spawned threads join (the pool is immediately reusable), and
+// - if any item was left unexecuted - the call throws
 // core::CancelledError. Items completed before the stop keep their
 // effects; a run whose items all finished despite a late-firing token
 // returns normally.
@@ -45,13 +45,6 @@ void parallel_for_work_stealing(
     std::size_t count, int threads,
     const std::function<void(int, std::size_t)>& fn,
     PoolStats* stats = nullptr, const core::CancelToken* cancel = nullptr);
-
-// Historical entry point (shared dynamic queue semantics): now a shim over
-// parallel_for_work_stealing with identical observable behaviour.
-void parallel_for_dynamic(
-    std::size_t count, int threads,
-    const std::function<void(int, std::size_t)>& fn,
-    const core::CancelToken* cancel = nullptr);
 
 // Sensible default worker count for this machine.
 int default_thread_count();

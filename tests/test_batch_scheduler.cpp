@@ -56,15 +56,14 @@ TEST(BatchScheduler, BitIdenticalToSerialLoopAcrossGrid) {
   const auto queries = make_queries(81);
   const seq::Database base_db = make_db(82, 90);
 
-  // Serial oracle (historical per-query loop).
+  // Serial oracle: one search() per query.
   search::SearchOptions serial_opt;
-  serial_opt.batch_queries = false;
   serial_opt.threads = 2;
   serial_opt.top_k = 10;
   std::vector<search::SearchResult> oracle;
   {
     seq::Database db = base_db;
-    oracle = search::DatabaseSearch(m, cfg, serial_opt).search_many(queries, db);
+    oracle = test::serial_search_many(m, cfg, serial_opt, queries, db);
   }
   ASSERT_EQ(oracle.size(), queries.size());
 
@@ -74,7 +73,6 @@ TEST(BatchScheduler, BitIdenticalToSerialLoopAcrossGrid) {
       for (std::size_t top_k : {std::size_t{0}, std::size_t{3},
                                 std::size_t{10}}) {
         search::SearchOptions opt;
-        opt.batch_queries = true;
         opt.threads = threads;
         opt.shard_size = shard;
         opt.top_k = top_k;
@@ -274,11 +272,8 @@ TEST(BatchScheduler, UnsortedDatabaseStaysUnsorted) {
   seq::Database db = make_db(92, 20);
   const auto queries = make_queries(93);
 
-  search::SearchOptions serial = opt;
-  serial.batch_queries = false;
   seq::Database db2 = db;
-  const auto oracle =
-      search::DatabaseSearch(m, cfg, serial).search_many(queries, db2);
+  const auto oracle = test::serial_search_many(m, cfg, opt, queries, db2);
   const auto got =
       search::DatabaseSearch(m, cfg, opt).search_many(queries, db);
   EXPECT_FALSE(db.permuted());

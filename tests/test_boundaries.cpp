@@ -147,8 +147,10 @@ TEST(FilterBoundaries, AllGuardDatabaseDropsNothing) {
   const auto query = test::random_protein(rng, 100);
   seq::Database db;
   for (int i = 0; i < 12; ++i) {
+    // append(), not "s" + to_string(i): GCC 12 flags the inlined
+    // operator+(const char*, string&&) with a bogus -Wrestrict (PR105651).
     db.add(seq::EncodedSequence{
-        "s" + std::to_string(i),
+        std::string("s").append(std::to_string(i)),
         test::random_protein(rng, static_cast<std::size_t>(i))});
   }
   search::SearchOptions opt;

@@ -33,7 +33,10 @@ AlignConfig local_config() {
 seq::Database encoded_db(const std::vector<std::vector<std::uint8_t>>& seqs) {
   seq::Database db;
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    db.add(seq::EncodedSequence{"s" + std::to_string(i), seqs[i]});
+    // append(), not "s" + to_string(i): GCC 12 flags the inlined
+    // operator+(const char*, string&&) with a bogus -Wrestrict (PR105651).
+    db.add(seq::EncodedSequence{std::string("s").append(std::to_string(i)),
+                                seqs[i]});
   }
   return db;
 }
@@ -354,15 +357,11 @@ TEST(Filter, BatchedAndSerialAgreeWithFilter) {
   seq::Database db =
       encoded_db(planted_workload(rng, queries[0], 200, 4, 0.15, 0.02));
 
-  search::SearchOptions batched = search_options(filter::FilterMode::On);
-  batched.batch_queries = true;
-  search::SearchOptions serial = batched;
-  serial.batch_queries = false;
-
-  const search::DatabaseSearch be(matrix, local_config(), batched);
-  const search::DatabaseSearch se(matrix, local_config(), serial);
+  const search::SearchOptions opt = search_options(filter::FilterMode::On);
+  const search::DatabaseSearch be(matrix, local_config(), opt);
   const auto br = be.search_many(queries, db);
-  const auto sr = se.search_many(queries, db);
+  const auto sr =
+      test::serial_search_many(matrix, local_config(), opt, queries, db);
   ASSERT_EQ(br.size(), queries.size());
   ASSERT_EQ(sr.size(), queries.size());
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {

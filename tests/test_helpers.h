@@ -1,13 +1,18 @@
 // Shared helpers for the test suite: available-ISA enumeration, random
-// sequence/config generation, and Farrar-safety filtering.
+// sequence/config generation, Farrar-safety filtering, and the serial
+// many-query search reference.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "core/config.h"
+#include "filter/signature.h"
 #include "score/matrices.h"
+#include "search/database_search.h"
+#include "seq/database.h"
 #include "simd/isa.h"
 
 namespace aalign::test {
@@ -61,6 +66,27 @@ inline std::vector<Penalties> test_penalties() {
       Penalties{{12, 2}, {8, 3}},   // asymmetric affine
       Penalties{{0, 5}, {0, 2}},    // asymmetric linear
   };
+}
+
+// The serial reference DatabaseSearch::search_many is checked against:
+// one search() per query over the same database, sorted once up front
+// and, when the filter is active, screened by one signature index shared
+// by every query.
+inline std::vector<search::SearchResult> serial_search_many(
+    const score::ScoreMatrix& matrix, const AlignConfig& cfg,
+    search::SearchOptions opt,
+    const std::vector<std::vector<std::uint8_t>>& queries,
+    seq::Database& db) {
+  if (opt.sort_database) db.sort_by_length_desc();
+  if (filter::filter_active(opt.filter.mode, cfg.kind == AlignKind::Local) &&
+      (opt.filter.index == nullptr || !opt.filter.index->matches(db))) {
+    opt.filter.index =
+        std::make_shared<filter::SignatureIndex>(db, opt.filter.params);
+  }
+  const search::DatabaseSearch engine(matrix, cfg, opt);
+  std::vector<search::SearchResult> out;
+  for (const auto& q : queries) out.push_back(engine.search(q, db));
+  return out;
 }
 
 }  // namespace aalign::test

@@ -147,6 +147,22 @@ TEST(QueryContext, WidthListRespectsIsaAndRequest) {
   }
 }
 
+TEST(QueryContext, RejectsSequentialStrategy) {
+  // Sequential has no striped kernel to dispatch; the scalar reference is
+  // core::align_sequential, not an engine run.
+  std::mt19937_64 rng(7);
+  const auto q = test::random_protein(rng, 40);
+  core::QueryOptions opt;
+  opt.strategy = Strategy::Sequential;
+  for (simd::IsaKind isa : test::available_isas()) {
+    opt.isa = isa;
+    EXPECT_THROW(
+        core::QueryContext(score::ScoreMatrix::blosum62(), {}, opt, q),
+        std::invalid_argument)
+        << simd::isa_name(isa);
+  }
+}
+
 TEST(QueryContext, SharedAcrossWorkspaces) {
   // One context, two workspaces used alternately: results must not depend
   // on which workspace ran which subject (the thread-sharing contract).

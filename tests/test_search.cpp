@@ -1,17 +1,12 @@
 // Multi-threaded database search: scores must be identical to aligning
 // each subject serially, independent of thread count, strategy, or
-// database ordering; top-k must be correctly ranked; the thread pool must
-// propagate exceptions.
+// database ordering; top-k must be correctly ranked.
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <set>
 
 #include "baselines/swaphi_like.h"
 #include "baselines/swps3_like.h"
 #include "core/sequential.h"
 #include "search/database_search.h"
-#include "search/thread_pool.h"
 #include "seq/generator.h"
 #include "seq/pairgen.h"
 #include "test_helpers.h"
@@ -25,25 +20,6 @@ seq::Database make_db(std::uint64_t seed, std::size_t count,
   seq::SequenceGenerator gen(seed);
   return seq::Database(score::Alphabet::protein(),
                        gen.protein_database(count, median_len, 0.5, 20, 600));
-}
-
-TEST(ThreadPool, CoversAllIndicesExactlyOnce) {
-  for (int threads : {1, 2, 4, 7}) {
-    std::vector<std::atomic<int>> hits(501);
-    search::parallel_for_dynamic(
-        hits.size(), threads,
-        [&](int, std::size_t i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  EXPECT_THROW(
-      search::parallel_for_dynamic(100, 4,
-                                   [&](int, std::size_t i) {
-                                     if (i == 37) throw std::runtime_error("x");
-                                   }),
-      std::runtime_error);
 }
 
 TEST(DatabaseSearch, MatchesSerialOracle) {

@@ -38,13 +38,6 @@ TEST(ThreadPoolStress, CoversAllIndicesExactlyOnce) {
   }
 }
 
-TEST(ThreadPoolStress, DynamicShimCoversAllIndices) {
-  std::vector<std::atomic<int>> hits(501);
-  search::parallel_for_dynamic(
-      hits.size(), 7, [&](int, std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 // Results produced through the pool must not depend on the worker count:
 // each item writes to its own slot, so the assembled vector is
 // bit-identical for 1, 2, and 8 threads.
