@@ -7,7 +7,10 @@
 // path with AALIGN_BENCH_JSON) so the perf trajectory accumulates
 // machine-readable points the CI gate can diff; the headline is
 // speedup_int8_vs_int32, the int8 tier's throughput against the exact
-// int32 kernel on the same workload.
+// int32 kernel on the same workload. Both modes run on one thread, so the
+// ratio compares per-core kernels: a small database fills one 64-lane
+// int8 batch but several 16-lane int32 batches, which more threads would
+// split unevenly between the two modes.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -84,6 +87,7 @@ int main() {
 
   search::SearchOptions opt;
   opt.keep_all_scores = false;
+  opt.threads = 1;
 
   std::printf("Inter-sequence precision ladder on %s "
               "(int8 x%d / int16 x%d / int32 x%d lanes); "
@@ -125,6 +129,7 @@ int main() {
 
   BenchReport report("bench_inter_precision");
   report.set_isa(isa);
+  report.set_threads(opt.threads);
   report.set_workload("db_sequences", db.size());
   report.set_workload("db_residues", db.total_residues());
   report.set_headline("speedup_int8_vs_int32", speedup);

@@ -12,10 +12,10 @@
 // maximum ends pinned at the positive rail has overflowed - run() reports
 // those lanes in a bitmask and the caller re-queues them at the next wider
 // precision. A lane NOT pinned at the rail carries the exact score: for
-// local alignment saturation is one-sided (H >= 0 always; E/F values
-// pinned at the negative rail are still below every candidate that can win
-// a max), so narrow results that stay inside the range are bit-identical
-// to the int32 kernel's.
+// local alignment saturation is one-sided (H >= 0 always, and the narrow
+// tiers floor E/F at 0, which cannot change a max that also takes 0 - see
+// inter_kernel.h), so narrow results that stay inside the range are
+// bit-identical to the int32 kernel's.
 #pragma once
 
 #include <cstdint>

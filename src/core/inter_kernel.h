@@ -11,16 +11,41 @@
 // running maximum). The inner loop then does one sequential aligned load
 // per cell instead of a per-lane gather, which is what lets the kernel run
 // on 8/16-bit lanes at all (x86 has no narrow gathers) and removes the
-// gather latency from the 32-bit path too.
+// gather latency from the 32-bit path too. The profile's column codes come
+// from `column_codes` where the backend has it (64 columns at a time,
+// transposed in registers) and from a per-lane scalar fill otherwise.
 //
-// The kernel is generic over the lane type. Narrow types (int8/int16) use
-// saturating adds; a lane whose running maximum ends pinned at the
-// positive rail may have overflowed and is reported in the returned
-// bitmask so the caller can re-run it at the next wider precision. Local
-// alignment makes the narrow tiers exact below the rail: H >= 0
-// everywhere, and E/F values saturated at the negative rail are still
-// smaller than every candidate that can win a max, so clamping them loses
-// nothing.
+// Recurrence, per column i and query row j, with e[j] holding E already
+// opened for column i (Farrar's / SSW's formulation):
+//   H    = max(H(i-1, j-1) + S, e[j], F)
+//   open = gap(H, open_left)   gap(x, c) = x - c
+//   e[j] = max(gap(e[j], ext_left), open)         E of column i + 1
+//   F    = max(gap(F, ext_up), gap(H, open_up))   F of row j + 1
+// (open_* = open + extend, ext_* = extend, both as positive costs). When
+// the two opening costs match - the usual symmetric penalties - the one
+// `open` feeds both e[j] and F.
+//
+// int8/int16 tiers: gap is `subus`, an unsigned saturating subtract, so E
+// and F never go below 0, start at 0, and H needs no max with 0: 9 vector
+// ops per cell (1 add, 5 max, 3 subus), 10 when the opening costs differ.
+// Flooring cannot change a score: the true H is max(diag + S, E, F, 0),
+// and with E' = max(E, 0), F' = max(F, 0) the floored kernel computes
+// max(diag + S, E', F') = max(diag + S, E, F, 0) = H. By induction the
+// next floored E, max(E' - ext, H - open, 0), equals max(E - ext, H -
+// open, 0), the floor of the true next E, because the only extra term,
+// 0 - ext, is not above 0; likewise for F. A cost at the tier's rail
+// (open + extend >= 128 at int8) is the byte 0x80, i.e. 128 unsigned;
+// every H below the ceiling floors to 0 against it, as the true
+// (negative) value would after the max with 0.
+// The positive rail is one-sided: a lane whose running maximum ends pinned
+// at it may have overflowed and is reported in the returned bitmask so the
+// caller can re-run it at the next wider precision.
+//
+// int32 tier: gap is a plain add of the negative step and H keeps its max
+// with 0 (x86 has no unsigned 32-bit saturating subtract): 10 ops per
+// cell, 11 with differing opening costs. E and F also start at 0; they are
+// then no lower than the true values and no higher than their floors at
+// 0, which leaves every H exact by the same argument.
 //
 // Include only from backend TUs compiled with the right ISA flags.
 #pragma once
@@ -41,19 +66,19 @@ std::uint64_t inter_sequence_local(const InterBatchInput& in,
   using T = typename Ops::value_type;
   using reg = typename Ops::reg;
   constexpr int W = Ops::kWidth;
+  constexpr bool kNarrow = sizeof(T) < 4;
   const int m = static_cast<int>(in.query.size());
   const int alpha = in.alpha;
-  const T kNegInf = simd::neg_inf<T>();
 
   ws.h_prev.resize(m * W);  // H(prev column) per (j, lane)
-  ws.e.resize(m * W);       // E carry per (j, lane)
+  ws.e.resize(m * W);       // opened E per (j, lane)
   ws.scan.resize(alpha * W);  // per-column score profile, one row per residue
-  T* h = ws.h_prev.data();
-  T* e = ws.e.data();
-  T* prof = ws.scan.data();
+  T* const h = ws.h_prev.data();
+  T* const e = ws.e.data();
+  T* const prof = ws.scan.data();
   for (int j = 0; j < m * W; ++j) {
     h[j] = 0;
-    e[j] = kNegInf;
+    e[j] = 0;
   }
 
   // The substitution matrix is narrowed to T ONCE per batch, so the
@@ -66,13 +91,22 @@ std::uint64_t inter_sequence_local(const InterBatchInput& in,
   // symbol, copied lane by lane.
   constexpr bool kHasLut =
       requires(const T* p, reg r) { Ops::table_lookup(p, r); };
+  // A block of W columns' codes (W x W entries) built at once, else one
+  // column's W codes at a time.
+  constexpr bool kHasCodes =
+      requires(const std::uint8_t* const* s, const int* n, T* out) {
+        Ops::column_codes(s, n, 0, T{0}, out);
+      };
+  constexpr int kCodeCols = kHasCodes ? W : 1;
   constexpr int kLutStride = 64;          // entries; every backend's row load fits
   const bool use_lut = kHasLut && alpha < 32;  // in-register index range
-  T* lut = nullptr;  // [alpha][kLutStride], + W index staging entries
-  T* nm = nullptr;   // [alpha + 1][alpha]
+  T* lut = nullptr;    // [alpha][kLutStride]
+  T* codes = nullptr;  // [kCodeCols][W], follows the LUT
+  T* nm = nullptr;     // [alpha + 1][alpha]
   if (use_lut) {
-    ws.h_cur.resize(alpha * kLutStride + W);
+    ws.h_cur.resize(alpha * kLutStride + kCodeCols * W);
     lut = ws.h_cur.data();
+    codes = lut + alpha * kLutStride;
     for (int a = 0; a < alpha; ++a) {
       T* row = lut + a * kLutStride;
       for (int c = 0; c <= alpha; ++c) {
@@ -92,7 +126,36 @@ std::uint64_t inter_sequence_local(const InterBatchInput& in,
       }
     }
   }
-  const auto fill_profile_scalar = [&](int t) {
+
+  // Score profile of column t: transpose one matrix row per lane
+  // (finished lanes use the padding row, index alpha) into W-lane rows
+  // indexed by query residue. Row stride W*sizeof(T) is exactly the
+  // register width, so every row is load-aligned.
+  const auto fill_profile = [&](int t) {
+    if constexpr (kHasLut) {
+      if (use_lut) {
+        const T* idx = codes;
+        if constexpr (kHasCodes) {
+          const int c = t % kCodeCols;
+          if (c == 0) {
+            Ops::column_codes(in.subjects, in.lengths, t,
+                              static_cast<T>(alpha), codes);
+          }
+          idx = codes + c * W;
+        } else {
+          for (int l = 0; l < W; ++l) {
+            codes[l] =
+                static_cast<T>(t < in.lengths[l] ? in.subjects[l][t] : alpha);
+          }
+        }
+        const reg v_idx = Ops::load(idx);
+        for (int a = 0; a < alpha; ++a) {
+          Ops::store(prof + a * W,
+                     Ops::table_lookup(lut + a * kLutStride, v_idx));
+        }
+        return;
+      }
+    }
     for (int l = 0; l < W; ++l) {
       const int c = t < in.lengths[l] ? in.subjects[l][t] : alpha;
       const T* row = nm + static_cast<std::size_t>(c) * alpha;
@@ -100,70 +163,68 @@ std::uint64_t inter_sequence_local(const InterBatchInput& in,
     }
   };
 
-  const reg v_zero = Ops::set1(T{0});
-  const reg v_ext_l = Ops::set1(st.ext_left);
-  const reg v_first_l = Ops::set1(st.first_left);
-  const reg v_ext_u = Ops::set1(st.ext_up);
-  const reg v_first_u = Ops::set1(st.first_up);
-  reg v_max = v_zero;
-
-  for (int t = 0; t < in.max_len; ++t) {
-    // Score profile of this column: transpose one matrix row per lane
-    // (finished lanes use the padding row, index alpha) into W-lane rows
-    // indexed by query residue. Row stride W*sizeof(T) is exactly the
-    // register width, so every row is load-aligned.
-    if constexpr (kHasLut) {
-      if (use_lut) {
-        T* idx = lut + alpha * kLutStride;
-        for (int l = 0; l < W; ++l) {
-          idx[l] =
-              static_cast<T>(t < in.lengths[l] ? in.subjects[l][t] : alpha);
-        }
-        const reg v_idx = Ops::load(idx);
-        for (int a = 0; a < alpha; ++a) {
-          Ops::store(prof + a * W,
-                     Ops::table_lookup(lut + a * kLutStride, v_idx));
-        }
-      } else {
-        fill_profile_scalar(t);
-      }
+  // Gap costs as the operand of `gap`: positive costs for subus, the
+  // negative steps themselves for the int32 add.
+  const auto cost = [](T step) {
+    if constexpr (kNarrow) {
+      return Ops::set1(static_cast<T>(-step));  // -(-128) wraps to 0x80
     } else {
-      fill_profile_scalar(t);
+      return Ops::set1(step);
     }
-
-    reg v_f = Ops::set1(kNegInf);
-    reg v_hdiag = v_zero;  // local boundary H(., 0) = 0
-    reg v_hleft = v_zero;
-    for (int j = 0; j < m; ++j) {
-      const reg v_sub =
-          Ops::load(prof + static_cast<std::size_t>(in.query[j]) * W);
-
-      const reg v_hup = Ops::load(h + j * W);
-      const reg v_e = Ops::max(Ops::adds(Ops::load(e + j * W), v_ext_l),
-                               Ops::adds(v_hup, v_first_l));
-      v_f = Ops::max(Ops::adds(v_f, v_ext_u), Ops::adds(v_hleft, v_first_u));
-
-      reg v_cell = Ops::adds(v_hdiag, v_sub);
-      v_cell = Ops::max(v_cell, v_e);
-      v_cell = Ops::max(v_cell, v_f);
-      v_cell = Ops::max(v_cell, v_zero);
-      v_max = Ops::max(v_max, v_cell);
-
-      Ops::store(e + j * W, v_e);
-      Ops::store(h + j * W, v_cell);
-      v_hdiag = v_hup;
-      v_hleft = v_cell;
+  };
+  const auto gap = [](reg v, reg c) {
+    if constexpr (kNarrow) {
+      return Ops::subus(v, c);
+    } else {
+      return Ops::adds(v, c);
     }
-  }
+  };
+
+  const auto sweep = [&](auto shared_open) {
+    constexpr bool kShared = decltype(shared_open)::value;
+    // Locals, not `in`/`st` members: stores through T* may alias them.
+    const std::uint8_t* const q = in.query.data();
+    const int max_len = in.max_len;
+    const reg v_zero = Ops::set1(T{0});
+    const reg v_open_l = cost(st.first_left);
+    const reg v_ext_l = cost(st.ext_left);
+    const reg v_open_u = cost(st.first_up);
+    const reg v_ext_u = cost(st.ext_up);
+    reg v_max = v_zero;
+    for (int t = 0; t < max_len; ++t) {
+      fill_profile(t);
+      reg v_f = v_zero;
+      reg v_hdiag = v_zero;  // local boundary H(., 0) = 0
+      for (int j = 0; j < m; ++j) {
+        const reg v_sub = Ops::load(prof + static_cast<std::size_t>(q[j]) * W);
+        const reg v_hup = Ops::load(h + j * W);
+        const reg v_e = Ops::load(e + j * W);
+
+        reg v_h = Ops::max(Ops::max(Ops::adds(v_hdiag, v_sub), v_e), v_f);
+        if constexpr (!kNarrow) v_h = Ops::max(v_h, v_zero);
+        v_max = Ops::max(v_max, v_h);
+        Ops::store(h + j * W, v_h);
+
+        const reg v_open = gap(v_h, v_open_l);
+        Ops::store(e + j * W, Ops::max(gap(v_e, v_ext_l), v_open));
+        v_f = Ops::max(gap(v_f, v_ext_u),
+                       kShared ? v_open : gap(v_h, v_open_u));
+        v_hdiag = v_hup;
+      }
+    }
+    return v_max;
+  };
+  const reg v_max = st.first_up == st.first_left ? sweep(std::true_type{})
+                                                 : sweep(std::false_type{});
 
   alignas(64) T scores[W];
   Ops::to_array(v_max, scores);
   for (int l = 0; l < W; ++l) out_scores[l] = scores[l];
 
-  if constexpr (sizeof(T) >= 4) {
-    return 0;  // exact tier: range-checked, never saturates
-  } else {
+  if constexpr (kNarrow) {
     return Ops::eq_mask(v_max, Ops::set1(std::numeric_limits<T>::max()));
+  } else {
+    return 0;  // exact tier: range-checked, never saturates
   }
 }
 

@@ -72,6 +72,7 @@ struct VecOps<std::int8_t, Avx2Tag> {
   static reg set1(value_type x) { return _mm256_set1_epi8(x); }
   static reg adds(reg a, reg b) { return _mm256_adds_epi8(a, b); }
   static reg subs(reg a, reg b) { return _mm256_subs_epi8(a, b); }
+  static reg subus(reg a, reg b) { return _mm256_subs_epu8(a, b); }
   static reg max(reg a, reg b) { return _mm256_max_epi8(a, b); }
   static reg min(reg a, reg b) { return _mm256_min_epi8(a, b); }
   static bool any_gt(reg a, reg b) {
@@ -136,6 +137,7 @@ struct VecOps<std::int16_t, Avx2Tag> {
   static reg set1(value_type x) { return _mm256_set1_epi16(x); }
   static reg adds(reg a, reg b) { return _mm256_adds_epi16(a, b); }
   static reg subs(reg a, reg b) { return _mm256_subs_epi16(a, b); }
+  static reg subus(reg a, reg b) { return _mm256_subs_epu16(a, b); }
   static reg max(reg a, reg b) { return _mm256_max_epi16(a, b); }
   static reg min(reg a, reg b) { return _mm256_min_epi16(a, b); }
   static bool any_gt(reg a, reg b) {

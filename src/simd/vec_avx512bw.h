@@ -46,6 +46,48 @@ inline std::uint64_t popcnt_and_512(__m512i a, __m512i b) {
   return static_cast<std::uint64_t>(_mm512_reduce_add_epi64(sum));
 }
 
+// vpermt2b indices of one 64 x 64 byte-transpose stage k: the stage swaps
+// bit k of the register index with bit k of the byte index, so for a
+// register pair (a = bit k clear, b = bit k set) the low output takes
+// byte (i with bit k cleared) and the high output byte (i with bit k set),
+// each from b when byte bit k of i is set (index bit 6 selects b). Six
+// stages, k = 0..5, move byte c of register r to byte r of register c.
+struct TransposeIdx {
+  alignas(64) std::uint8_t lo[6][64];
+  alignas(64) std::uint8_t hi[6][64];
+};
+
+constexpr TransposeIdx make_transpose_idx() {
+  TransposeIdx t{};
+  for (int k = 0; k < 6; ++k) {
+    for (int i = 0; i < 64; ++i) {
+      const int from_b = ((i >> k) & 1) << 6;
+      t.lo[k][i] = static_cast<std::uint8_t>((i & ~(1 << k)) | from_b);
+      t.hi[k][i] = static_cast<std::uint8_t>(i | (1 << k) | from_b);
+    }
+  }
+  return t;
+}
+
+inline constexpr TransposeIdx kTransposeIdx = make_transpose_idx();
+
+// Stages k0, k0 + 1, k0 + 2 over eight registers whose register-index bits
+// k0..k0+2 are the group's own index bits 0..2.
+inline void transpose_stages3(__m512i (&r)[8], int k0) {
+  for (int s = 0; s < 3; ++s) {
+    const int k = k0 + s;
+    const __m512i lo = _mm512_load_si512(kTransposeIdx.lo[k]);
+    const __m512i hi = _mm512_load_si512(kTransposeIdx.hi[k]);
+    for (int i = 0; i < 8; ++i) {
+      if ((i >> s) & 1) continue;
+      const __m512i a = r[i];
+      const __m512i b = r[i | (1 << s)];
+      r[i] = _mm512_permutex2var_epi8(a, lo, b);
+      r[i | (1 << s)] = _mm512_permutex2var_epi8(a, hi, b);
+    }
+  }
+}
+
 }  // namespace detail
 
 template <class T, class Isa>
@@ -62,6 +104,7 @@ struct VecOps<std::int8_t, Avx512BwTag> {
   static reg set1(value_type x) { return _mm512_set1_epi8(x); }
   static reg adds(reg a, reg b) { return _mm512_adds_epi8(a, b); }
   static reg subs(reg a, reg b) { return _mm512_subs_epi8(a, b); }
+  static reg subus(reg a, reg b) { return _mm512_subs_epu8(a, b); }
   static reg max(reg a, reg b) { return _mm512_max_epi8(a, b); }
   static reg min(reg a, reg b) { return _mm512_min_epi8(a, b); }
   static bool any_gt(reg a, reg b) {
@@ -85,6 +128,42 @@ struct VecOps<std::int8_t, Avx512BwTag> {
   // score-profile build one permute per alphabet symbol. Needs VBMI.
   static reg table_lookup(const value_type* row, reg idx) {
     return _mm512_permutexvar_epi8(idx, _mm512_load_si512(row));
+  }
+  // Subject codes of the 64 columns [t0, t0 + 64) for 64 lanes, one
+  // register row per column: out[c * 64 + l] = t0 + c < lengths[l] ?
+  // subjects[l][t0 + c] : pad (`out` 64-byte aligned, 4 KiB). Each lane's
+  // 64 residues are one masked load, so nothing past a subject's end is
+  // read; six vpermt2b stages transpose the block in two passes of eight
+  // registers (register-index bits 0..2, then 3..5). Needs VBMI.
+  static void column_codes(const std::uint8_t* const* subjects,
+                           const int* lengths, int t0, value_type pad,
+                           value_type* out) {
+    const __m512i v_pad = _mm512_set1_epi8(pad);
+    for (int g = 0; g < 64; g += 8) {
+      __m512i r[8];
+      for (int i = 0; i < 8; ++i) {
+        const int rem = lengths[g + i] - t0;
+        const __mmask64 k = rem >= 64 ? ~__mmask64{0}
+                            : rem <= 0 ? __mmask64{0}
+                                       : (__mmask64{1} << rem) - 1;
+        const std::uint8_t* p = subjects[g + i] + (rem > 0 ? t0 : 0);
+        r[i] = _mm512_mask_loadu_epi8(v_pad, k, p);
+      }
+      detail::transpose_stages3(r, 0);
+      for (int i = 0; i < 8; ++i) {
+        _mm512_store_si512(out + (g + i) * 64, r[i]);
+      }
+    }
+    for (int g = 0; g < 8; ++g) {
+      __m512i r[8];
+      for (int i = 0; i < 8; ++i) {
+        r[i] = _mm512_load_si512(out + (g + 8 * i) * 64);
+      }
+      detail::transpose_stages3(r, 3);
+      for (int i = 0; i < 8; ++i) {
+        _mm512_store_si512(out + (g + 8 * i) * 64, r[i]);
+      }
+    }
   }
   static std::uint64_t popcount_and(reg a, reg b) {
     return detail::popcnt_and_512(a, b);
@@ -115,6 +194,7 @@ struct VecOps<std::int16_t, Avx512BwTag> {
   static reg set1(value_type x) { return _mm512_set1_epi16(x); }
   static reg adds(reg a, reg b) { return _mm512_adds_epi16(a, b); }
   static reg subs(reg a, reg b) { return _mm512_subs_epi16(a, b); }
+  static reg subus(reg a, reg b) { return _mm512_subs_epu16(a, b); }
   static reg max(reg a, reg b) { return _mm512_max_epi16(a, b); }
   static reg min(reg a, reg b) { return _mm512_min_epi16(a, b); }
   static bool any_gt(reg a, reg b) {

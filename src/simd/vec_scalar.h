@@ -10,6 +10,11 @@
 //   load/store      : aligned (64 B) register moves
 //   set1            : broadcast
 //   adds/subs       : saturating for 8/16-bit lanes, wrapping for 32-bit
+//   subus           : 8/16-bit lanes only: lanes read as unsigned, a - b
+//                     floored at 0 (x86 psubus). The inter-sequence
+//                     kernel's gap step on non-negative scores; a cost at
+//                     the rail (0x80 / 0x8000 = 128 / 32768) floors every
+//                     score to 0
 //   max/min         : per-lane signed
 //   any_gt(a, b)    : true if a[l] > b[l] in any lane (influence_test core)
 //   shift_insert    : lane l -> lane l+1, lane 0 = fill (the paper's
@@ -30,6 +35,11 @@
 //                     one call scores one register-width slice of a
 //                     k-mer bitset against the query signature.
 //   to_array/from_array : unaligned spills used by cold generic paths
+//
+// Optional primitives, detected with `requires` where they are used:
+//   gather, table_lookup : per-lane table select (inter-sequence profile)
+//   column_codes    : the inter-sequence kernel's W x W block of subject
+//                     codes, transposed in registers (AVX-512BW int8)
 #pragma once
 
 #include <bit>
@@ -106,6 +116,19 @@ struct VecOps<T, ScalarTag> {
   static reg subs(reg a, reg b) {
     reg r;
     for (int l = 0; l < kWidth; ++l) r.lane[l] = util::sat_sub(a.lane[l], b.lane[l]);
+    return r;
+  }
+
+  static reg subus(reg a, reg b)
+    requires(sizeof(T) < 4)
+  {
+    using U = std::make_unsigned_t<T>;
+    reg r;
+    for (int l = 0; l < kWidth; ++l) {
+      const auto x = static_cast<U>(a.lane[l]);
+      const auto y = static_cast<U>(b.lane[l]);
+      r.lane[l] = static_cast<T>(x > y ? static_cast<U>(x - y) : U{0});
+    }
     return r;
   }
 

@@ -55,6 +55,7 @@ struct VecOps<std::int8_t, Sse41Tag> {
   static reg set1(value_type x) { return _mm_set1_epi8(x); }
   static reg adds(reg a, reg b) { return _mm_adds_epi8(a, b); }
   static reg subs(reg a, reg b) { return _mm_subs_epi8(a, b); }
+  static reg subus(reg a, reg b) { return _mm_subs_epu8(a, b); }
   static reg max(reg a, reg b) { return _mm_max_epi8(a, b); }
   static reg min(reg a, reg b) { return _mm_min_epi8(a, b); }
   static bool any_gt(reg a, reg b) {
@@ -114,6 +115,7 @@ struct VecOps<std::int16_t, Sse41Tag> {
   static reg set1(value_type x) { return _mm_set1_epi16(x); }
   static reg adds(reg a, reg b) { return _mm_adds_epi16(a, b); }
   static reg subs(reg a, reg b) { return _mm_subs_epi16(a, b); }
+  static reg subus(reg a, reg b) { return _mm_subs_epu16(a, b); }
   static reg max(reg a, reg b) { return _mm_max_epi16(a, b); }
   static reg min(reg a, reg b) { return _mm_min_epi16(a, b); }
   static bool any_gt(reg a, reg b) {

@@ -201,6 +201,186 @@ TEST_P(InterPrecisionTest, RespectsSearchOptions) {
   }
 }
 
+// Every subject's score against the sequential oracle. Each tier the
+// backend has runs alone (a pinned width): below its ceiling a lane must
+// carry the oracle's score, at or above it the lane must read the ceiling
+// and be flagged for promotion. Then the ladder runs from every rung it
+// can start on: Auto (the narrowest tier), W8, W16 and int32 alone.
+void expect_oracle_scores(simd::IsaKind isa, const Penalties& pen,
+                          const std::vector<std::uint8_t>& query,
+                          const seq::Database& db) {
+  const auto& m = score::ScoreMatrix::blosum62();
+  AlignConfig cfg;
+  cfg.kind = AlignKind::Local;
+  cfg.pen = pen;
+  std::vector<long> oracle(db.size());
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    oracle[i] = core::align_sequential(m, cfg, query, db.by_original(i).view());
+  }
+
+  const core::InterEngine* engine = core::get_inter_engine(isa);
+  const auto flat = search::inter_flat_matrix(m);
+  core::InterScratch ws;
+  for (const core::InterPrecision p : core::kInterPrecisions) {
+    const int W = engine->lanes(p);
+    if (W == 0) continue;
+    const long ceiling = core::inter_score_ceiling(p);
+    for (std::size_t first = 0; first < db.size();
+         first += static_cast<std::size_t>(W)) {
+      std::vector<const std::uint8_t*> ptrs(static_cast<std::size_t>(W));
+      std::vector<int> lens(static_cast<std::size_t>(W));
+      int max_len = 0;
+      for (int l = 0; l < W; ++l) {
+        // Tail lanes repeat the batch's first subject, as the ladder does.
+        const std::size_t i =
+            first + l < db.size() ? first + static_cast<std::size_t>(l)
+                                  : first;
+        const auto v = db.by_original(i).view();
+        ptrs[static_cast<std::size_t>(l)] = v.data();
+        lens[static_cast<std::size_t>(l)] = static_cast<int>(v.size());
+        max_len = std::max(max_len, static_cast<int>(v.size()));
+      }
+      const core::InterBatchInput batch{flat.data(), m.size(), query,
+                                        ptrs.data(), lens.data(), max_len};
+      std::vector<long> out(static_cast<std::size_t>(W));
+      const std::uint64_t overflow = engine->run(p, batch, pen, ws, out.data());
+      for (int l = 0; l < W && first + l < db.size(); ++l) {
+        const std::size_t i = first + static_cast<std::size_t>(l);
+        const bool saturated = oracle[i] >= ceiling;
+        EXPECT_EQ(out[static_cast<std::size_t>(l)],
+                  saturated ? ceiling : oracle[i])
+            << core::to_string(p) << " pinned, subject " << i;
+        EXPECT_EQ(((overflow >> l) & 1u) != 0, saturated)
+            << core::to_string(p) << " pinned, subject " << i;
+      }
+    }
+  }
+  for (const ScoreWidth w : {ScoreWidth::Auto, ScoreWidth::W8,
+                             ScoreWidth::W16, ScoreWidth::W32}) {
+    search::SearchOptions opt;
+    opt.threads = 1;
+    search::InterSequenceSearch s(m, pen, opt, isa, w);
+    seq::Database copy = db;
+    const auto res = s.search(query, copy);
+    ASSERT_EQ(res.scores.size(), db.size());
+    for (std::size_t i = 0; i < db.size(); ++i) {
+      EXPECT_EQ(res.scores[i], oracle[i])
+          << "start width " << static_cast<int>(w) << ", subject " << i
+          << ", open/extend query " << pen.query.open << "/"
+          << pen.query.extend << " subject " << pen.subject.open << "/"
+          << pen.subject.extend;
+    }
+  }
+}
+
+// Random subjects with ragged lengths (so batches have padded lanes) plus
+// mutated copies of the query, whose long gapped alignments exercise E and
+// F far from zero.
+seq::Database oracle_database(std::uint64_t seed,
+                              const std::vector<std::uint8_t>& query) {
+  seq::SequenceGenerator gen(seed);
+  std::mt19937_64 rng(seed + 1);
+  seq::Database db(score::Alphabet::protein(),
+                   gen.protein_database(70, 70.0, 0.8, 1, 300));
+  for (int k = 0; k < 6; ++k) {
+    db.add(seq::EncodedSequence{"mut" + std::to_string(k),
+                                test::mutate(rng, query, 0.15, 0.1)});
+  }
+  return db;
+}
+
+TEST_P(InterPrecisionTest, GapCostsAtTheInt8RailMatchOracle) {
+  const simd::IsaKind isa = GetParam();
+  if (core::get_inter_engine(isa) == nullptr) GTEST_SKIP();
+
+  // open + extend >= 128: the int8 open cost clamps to -128, the byte
+  // 0x80, which must floor every H below the ceiling to 0. The last set
+  // puts the extend cost itself at the rail.
+  std::mt19937_64 rng(80);
+  const auto query = test::random_protein(rng, 70);
+  const seq::Database db = oracle_database(81, query);
+  for (const Penalties& pen :
+       {Penalties::symmetric(126, 2), Penalties::symmetric(200, 3),
+        Penalties{{127, 1}, {3, 1}}, Penalties::symmetric(5, 130)}) {
+    expect_oracle_scores(isa, pen, query, db);
+  }
+}
+
+TEST_P(InterPrecisionTest, AsymmetricOpenCostsMatchOracle) {
+  const simd::IsaKind isa = GetParam();
+  if (core::get_inter_engine(isa) == nullptr) GTEST_SKIP();
+
+  // Opening costs differ, extend costs match: the kernel cannot share the
+  // opened H between E and F.
+  std::mt19937_64 rng(82);
+  const auto query = test::random_protein(rng, 60);
+  const seq::Database db = oracle_database(83, query);
+  for (const Penalties& pen :
+       {Penalties{{4, 2}, {14, 2}}, Penalties{{14, 2}, {4, 2}},
+        Penalties{{1, 1}, {9, 1}}}) {
+    expect_oracle_scores(isa, pen, query, db);
+  }
+}
+
+TEST_P(InterPrecisionTest, AsymmetricExtendCostsMatchOracle) {
+  const simd::IsaKind isa = GetParam();
+  if (core::get_inter_engine(isa) == nullptr) GTEST_SKIP();
+
+  // Same opening cost (open + extend), different extend costs: the opened
+  // H is shared, the extensions are not.
+  std::mt19937_64 rng(84);
+  const auto query = test::random_protein(rng, 60);
+  const seq::Database db = oracle_database(85, query);
+  for (const Penalties& pen :
+       {Penalties{{10, 1}, {10, 3}}, Penalties{{6, 5}, {6, 1}}}) {
+    expect_oracle_scores(isa, pen, query, db);
+  }
+}
+
+TEST_P(InterPrecisionTest, LinearGapsMatchOracle) {
+  const simd::IsaKind isa = GetParam();
+  if (core::get_inter_engine(isa) == nullptr) GTEST_SKIP();
+
+  // open = 0: opening and extending cost the same.
+  std::mt19937_64 rng(86);
+  const auto query = test::random_protein(rng, 60);
+  const seq::Database db = oracle_database(87, query);
+  for (const Penalties& pen :
+       {Penalties::symmetric(0, 4), Penalties::symmetric(0, 1),
+        Penalties{{0, 2}, {0, 6}}}) {
+    expect_oracle_scores(isa, pen, query, db);
+  }
+}
+
+TEST_P(InterPrecisionTest, AdversarialLongIndelsMatchOracle) {
+  const simd::IsaKind isa = GetParam();
+  if (core::get_inter_engine(isa) == nullptr) GTEST_SKIP();
+
+  // High-identity subjects with 16..64-residue indels: H stays large
+  // across long gap runs, so E and F carry far from zero. The scores
+  // overflow int8 and run again at int16; a gappier low-identity spec
+  // keeps some lanes inside int8.
+  seq::SequenceGenerator gen(88);
+  const seq::Sequence query = gen.protein(260, "q");
+  seq::AdversarialSpec gappy;
+  gappy.identity = 0.6;
+  gappy.gap_rate = 0.05;
+  gappy.min_gap = 3;
+  gappy.max_gap = 12;
+  std::vector<seq::Sequence> subjects;
+  for (int k = 0; k < 12; ++k) {
+    subjects.push_back(gen.adversarial_subject(query, {}, "adv"));
+    subjects.push_back(gen.adversarial_subject(query, gappy, "gappy"));
+  }
+  const seq::Database db(score::Alphabet::protein(), subjects);
+  const auto q = score::Alphabet::protein().encode(query.residues);
+  for (const Penalties& pen :
+       {Penalties::symmetric(10, 2), Penalties{{10, 1}, {10, 3}},
+        Penalties{{5, 2}, {12, 2}}, Penalties::symmetric(0, 3)}) {
+    expect_oracle_scores(isa, pen, q, db);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, InterPrecisionTest,
                          testing::ValuesIn(test::available_isas()),
                          [](const testing::TestParamInfo<simd::IsaKind>& i) {

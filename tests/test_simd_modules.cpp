@@ -275,6 +275,63 @@ void table_lookup_semantics() {
   }
 }
 
+// subus: the inter-sequence kernel's gap step, narrow lanes only. Lanes
+// are read as unsigned and the difference floors at 0, checked on edge
+// operands (0, 1, the rail 0x80 / 0x8000 and its neighbours, all-ones)
+// and random full-range lanes. A score below the rail minus a cost at the
+// rail must floor to 0: that is how an int8 open cost of 128 behaves.
+template <class Ops>
+void subus_semantics() {
+  using T = typename Ops::value_type;
+  if constexpr (sizeof(T) < 4) {
+    using U = std::make_unsigned_t<T>;
+    constexpr int W = Ops::kWidth;
+    constexpr U kRail = static_cast<U>(U{1} << (sizeof(T) * 8 - 1));
+    alignas(64) T a[W], b[W], out[W];
+    const auto check = [&]() {
+      Ops::store(out, Ops::subus(Ops::load(a), Ops::load(b)));
+      for (int l = 0; l < W; ++l) {
+        const auto x = static_cast<U>(a[l]);
+        const auto y = static_cast<U>(b[l]);
+        ASSERT_EQ(static_cast<U>(out[l]), x > y ? static_cast<U>(x - y) : U{0})
+            << "lane " << l << ": " << +x << " - " << +y;
+      }
+    };
+
+    const U specials[] = {U{0},
+                          U{1},
+                          U{2},
+                          static_cast<U>(kRail - 1),
+                          kRail,
+                          static_cast<U>(kRail + 1),
+                          static_cast<U>(~U{0})};
+    for (U pa : specials) {
+      for (U pb : specials) {
+        for (int l = 0; l < W; ++l) {
+          a[l] = static_cast<T>(pa);
+          b[l] = static_cast<T>(pb);
+        }
+        check();
+      }
+    }
+    for (int l = 0; l < W; ++l) {
+      a[l] = static_cast<T>(l % 2 == 0 ? kRail - 1 : l);
+      b[l] = static_cast<T>(kRail);
+    }
+    check();
+    for (int l = 0; l < W; ++l) ASSERT_EQ(out[l], T{0}) << "lane " << l;
+
+    std::mt19937_64 rng(0x5B05);
+    for (int iter = 0; iter < 100; ++iter) {
+      for (int l = 0; l < W; ++l) {
+        a[l] = static_cast<T>(rng());
+        b[l] = static_cast<T>(rng());
+      }
+      check();
+    }
+  }
+}
+
 // seg_scan_max: the lazy-F carry scan primitive. Contract (vec_scalar.h):
 // out[0] = fill; out[l] = max(in[l-1], out[l-1] (+) step), where (+) is a
 // saturating add for narrow types and a plain add for int32. The reference
@@ -371,6 +428,7 @@ void run_all() {
   eq_mask_semantics<Ops>();
   gather_semantics<Ops>();
   table_lookup_semantics<Ops>();
+  subus_semantics<Ops>();
   popcount_and_matches_reference<Ops>();
 }
 
@@ -406,6 +464,59 @@ AALIGN_SIMD_TEST(SimdModules, int8_t, Avx512Bw)
 AALIGN_SIMD_TEST(SimdModules, int16_t, Avx512Bw)
 AALIGN_SIMD_TEST(SimdModules, int32_t, Avx512Bw)
 #endif
+
+// column_codes: the AVX-512BW int8 block transpose of the inter-sequence
+// kernel against the scalar fill it replaces, out[c * 64 + l] = t0 + c <
+// len[l] ? subject[l][t0 + c] : pad. Lanes end 0, 1, 63, 64, 65 and 127
+// residues past the block start, or before it; the tail lanes repeat lane
+// 0's pointer, as a partial batch does. Every subject is allocated to its
+// exact length, so an unmasked read past its end is a heap overflow.
+TEST(ColumnCodes, TransposeMatchesScalarFill) {
+#if defined(AALIGN_HAVE_AVX512BW) && defined(__AVX512VBMI__)
+  if (!isa_available(IsaKind::Avx512Bw)) {
+    GTEST_SKIP() << "AVX-512BW with VBMI not available on this machine; "
+                    "column_codes is not exercised";
+  }
+  using Ops = VecOps<std::int8_t, Avx512BwTag>;
+  constexpr int W = Ops::kWidth;
+  constexpr std::int8_t kPad = 24;
+  constexpr int kEnds[] = {0, 1, 63, 64, 65, 127, -5};
+  std::mt19937_64 rng(0xC0DE);
+  for (const int t0 : {0, 64, 192}) {
+    std::vector<std::vector<std::uint8_t>> subjects(W);
+    const std::uint8_t* ptrs[W];
+    int lens[W];
+    for (int l = 0; l < W; ++l) {
+      if (l >= W - 8) {  // repeated tail lanes
+        ptrs[l] = ptrs[0];
+        lens[l] = lens[0];
+        continue;
+      }
+      const int end =
+          l < 14 ? kEnds[l % 7] : static_cast<int>(rng() % 200) - 70;
+      const int len = std::max(0, t0 + end);
+      subjects[l].resize(static_cast<std::size_t>(len));
+      for (auto& c : subjects[l]) c = static_cast<std::uint8_t>(rng() % 24);
+      ptrs[l] = subjects[l].data();
+      lens[l] = len;
+    }
+    util::AlignedBuffer<std::int8_t> out(W * W);
+    Ops::column_codes(ptrs, lens, t0, kPad, out.data());
+    for (int c = 0; c < W; ++c) {
+      for (int l = 0; l < W; ++l) {
+        const std::int8_t want =
+            t0 + c < lens[l] ? static_cast<std::int8_t>(ptrs[l][t0 + c])
+                             : kPad;
+        ASSERT_EQ(out[c * W + l], want)
+            << "t0 " << t0 << " column " << c << " lane " << l;
+      }
+    }
+  }
+#else
+  GTEST_SKIP() << "built without the AVX-512BW+VBMI backend; column_codes "
+                  "is not exercised";
+#endif
+}
 
 // The signature-scan dispatch (filter/sig_scan.h) over whole word
 // arrays: every backend must agree bit-exactly with the scalar popcount
